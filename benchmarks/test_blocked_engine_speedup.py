@@ -1,13 +1,15 @@
-"""Blocked-engine speedup over the per-step vectorized engine.
+"""Blocked-engine speedup over the exact vectorized engine.
 
-Times the K-panel blocked engine against the per-step vectorized engine
-on Figure 21-sized SpGEMMs (1024^3 and 2048^3 at (0.7, 0.7) sparsity)
-and on a full-resolution (``scale=1.0``) functional ResNet-18 run,
-asserts the >= 5x advantage at 2048^3 with bit-identical statistics and
-exact numeric output (the operands are integer-valued, so the panel
-re-association is exact), and appends the measurements to the JSON
-trajectory at ``benchmarks/results/blocked_speedup.json`` so speedup
-history survives across runs.
+Times the K-panel blocked engine against the vectorized engine (one
+scalar CSR x dense product over the sparser operand) on Figure 21-sized
+SpGEMMs (1024^3 and 2048^3 at (0.7, 0.7) sparsity, where every
+reduction step survives and the blocked engine runs one whole-K BLAS
+matmul) and on a full-resolution (``scale=1.0``) functional ResNet-18
+run, asserts the >= 5x advantage at 2048^3 with bit-identical
+statistics and exact numeric output (the operands are integer-valued,
+so the BLAS re-association is exact), and appends the measurements to
+the JSON trajectory at ``benchmarks/results/blocked_speedup.json`` so
+speedup history survives across runs.
 """
 
 from __future__ import annotations

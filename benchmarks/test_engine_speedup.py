@@ -1,11 +1,12 @@
 """Vectorized-engine speedup over the reference loop (512x512x512 SpGEMM).
 
 Times both functional backends on the same pruned-DNN-like workload
-(90% sparse operands), asserts that the vectorized engine keeps its
->= 10x advantage and that the two paths stay bit-identical, and appends
-the measurement to the JSON trajectory at
-``benchmarks/results/engine_speedup.json`` so speedup history survives
-across runs.
+(90% sparse operands), asserts that the vectorized engine (one CSR x
+dense product over the sparser operand, summed in the reference loop's
+ascending-k order) keeps its >= 10x advantage and that the two paths
+stay bit-identical, and appends the measurement to the JSON trajectory
+at ``benchmarks/results/engine_speedup.json`` so speedup history
+survives across runs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke-test CI: the tier-1 test suite, a doctest pass over the README
 # quickstart snippets, the golden-snapshot regression suite (fails on
-# any paper-table drift), the im2col + blocked-engine parity suites,
+# any paper-table drift), the im2col + SpGEMM-engine parity suites,
 # the encoded-operand + session parity suites (pre-encoded operands and
 # batch-folded sessions must be bit-identical to the dense/per-image
 # paths), the model-zoo conformance grid (every model x pruning method
@@ -40,8 +40,9 @@ python -m pytest -q tests/experiments/test_golden.py
 echo "== im2col engine parity suite (vectorized vs reference oracles) =="
 python -m pytest -q tests/core/test_im2col_engines.py tests/core/test_im2col.py
 
-echo "== blocked engine parity suite (blocked vs vectorized vs reference) =="
-python -m pytest -q tests/core/test_engine_blocked.py tests/formats/test_vectorized_formats.py
+echo "== SpGEMM engine parity suites (exact CSR x dense and blocked engines vs reference) =="
+python -m pytest -q tests/core/test_engine.py tests/core/test_engine_blocked.py \
+    tests/formats/test_vectorized_formats.py
 
 echo "== encoded-operand + session parity suites (encoded vs dense, batch vs per-image) =="
 python -m pytest -q tests/core/test_encoded_operands.py tests/nn/test_session.py

@@ -13,14 +13,15 @@ These are the entry points a downstream user is expected to call:
 
 All functional entry points accept ``backend="auto"`` (the default —
 the K-panel blocked engine of :mod:`repro.core.engine_blocked` for
-large shapes, the per-step vectorized engine of
-:mod:`repro.core.engine` otherwise), ``backend="blocked"`` /
-``backend="vectorized"`` to pin one engine, or ``backend="reference"``
-(the original per-warp-tile Python loop, kept as a cross-check
-oracle).  All backends produce identical statistics; numerics are
-bit-identical between the vectorized engine and the reference loop,
-and exact on integer-valued data (within 2 float32 ulps otherwise)
-for the blocked engine.
+large shapes, the vectorized engine of :mod:`repro.core.engine`
+otherwise), ``backend="blocked"`` / ``backend="vectorized"`` to pin one
+engine, or ``backend="reference"`` (the original per-warp-tile Python
+loop, kept as a cross-check oracle).  All backends produce identical
+statistics.  The vectorized engine multiplies the sparser operand,
+encoded as CSR, by the other one held dense, summing every output
+element in the reference loop's ascending-``k`` order, so its numerics
+are bit-identical to the reference; the blocked engine is exact on
+integer-valued data (within 2 float32 ulps otherwise).
 
 For latency estimates on a modelled V100-class GPU, see
 :mod:`repro.kernels` (per-method cost models) and

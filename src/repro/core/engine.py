@@ -2,25 +2,24 @@
 
 :func:`repro.core.spgemm_device.device_spgemm` historically walked every
 (warp-tile pair, reduction step) in Python, which capped the functional
-path at a few thousand elements per side.  This module provides the
-NumPy-vectorized replacement: the numeric product is computed with
-blocked dense math (rank-1 updates in reduction order, so rounding is
-bit-identical to the reference loop), while the full
-:class:`~repro.core.spgemm_device.DeviceStats` is derived in closed form
-from the same per-segment non-zero reductions that power
+path at a few thousand elements per side.  This module is the exact fast
+replacement: the numeric product is one compiled CSR x dense product
+over the sparser operand (bit-identical to the reference loop), while
+the full :class:`~repro.core.spgemm_device.DeviceStats` is derived in
+closed form from the same per-segment non-zero reductions that power
 :func:`~repro.core.spgemm_device.count_device_instructions`.
 
 The closed-form reductions live in :mod:`repro.core.operands`: every
 cross-operand statistic factors into dot products of per-side per-``k``
 vectors, which an :class:`~repro.core.operands.EncodedOperand` caches
-for the lifetime of a serving session.  Operands may therefore arrive
-either dense or pre-encoded; the engine computes identical results
-(and statistics) in both cases.
+for the lifetime of a serving session, together with the CSR encoding
+of a static operand.  Operands may therefore arrive either dense or
+pre-encoded; the engine computes identical results (and statistics) in
+both cases.
 
 For Figure 21/22-sized shapes the K-panel blocked engine
-(:mod:`repro.core.engine_blocked`) replaces the per-step rank-1 loop
-with one BLAS matmul per K-panel; it reuses this module's
-closed-form statistics unchanged.
+(:mod:`repro.core.engine_blocked`) replaces the sparse product with BLAS
+matmuls; it reuses this module's closed-form statistics unchanged.
 
 The engine is cross-checked against the reference loop (kept behind
 ``backend="reference"``) in ``tests/core/test_engine.py``: numeric output
@@ -31,18 +30,37 @@ non-tile-aligned shapes and empty matrices.
 Why the numerics are bit-identical
 ----------------------------------
 
-The reference path accumulates, for every output element ``(i, j)``, the
-partial products ``a[i, k] * b[k, j]`` one ``k`` at a time in increasing
-``k`` order (k-tiles are visited in order and each warp tile iterates its
-steps in order).  The engine performs the same IEEE-754 double-precision
-multiply-then-add sequence as a vectorized rank-1 update per reduction
-step; adding the zero products the reference skips is exact (``x + 0.0
-== x`` for finite ``x``), so both paths round identically.  Because
-every output element receives its products independently of all other
-rows and columns, the same argument makes the engine *fold-safe*: rows
-(or columns) of a batch-stacked operand produce bit-identical results
-to separate per-slice runs (the inference sessions of
-:mod:`repro.nn.session` rely on this).
+The reference path sums, for every output element ``(i, j)``, the
+partial products ``a[i, k] * b[k, j]`` of the condensed non-zeros,
+starting from ``+0.0`` and taking ``k`` in ascending order (k-tiles are
+visited in order and each warp tile iterates its steps in order).
+
+The engine encodes one operand as a float64 CSR — the rows of A, or the
+columns of B — with ``k`` ascending within each row, and multiplies it
+by the other operand held dense (SciPy's ``csr_matvecs`` kernel).  The
+kernel walks each encoded row's stored entries ``v`` in ascending ``k``
+and adds ``v * x`` to the output row, ``x`` the matching dense row:
+
+* where the dense side is zero the product is ``v * 0 = +-0.0``, with
+  ``v`` finite, because a non-finite side is never encoded.  Adding it
+  changes nothing in round-to-nearest: ``y +- 0 == y`` for ``y != 0``,
+  and ``+0 + +-0 == +0``;
+* a non-finite value on the dense side is only ever multiplied by a
+  non-zero, and the reference forms that same product.
+
+So outputs match the reference bit for bit, signs of zero included.
+When both operands hold non-finite values, both are encoded and SciPy's
+CSR x CSR product (SMMP) multiplies them: it too forms products only
+between non-zeros and accumulates each output element from ``+0.0`` in
+ascending ``k``.
+
+The encoded side is the one with fewer multiply-adds, ``nnz(A) * N``
+against ``nnz(B) * M`` — the sparser side, so the rule needs no tuned
+constant.  Every output element depends only on its own row of A and
+column of B, so the engine is *fold-safe*: rows (or columns) of a
+batch-stacked operand produce bit-identical results to separate
+per-slice runs (the inference sessions of :mod:`repro.nn.session` rely
+on this).
 """
 
 from __future__ import annotations
@@ -54,69 +72,30 @@ from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ShapeError
 
 
-def operand_k_activity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean mask of reduction steps that contribute any product.
-
-    Step ``k`` is active when column ``k`` of A and row ``k`` of B both
-    hold at least one non-zero — the per-k occupancy the warp-bitmap
-    counts expose.  Shared by the per-step vectorized engine and the
-    K-panel blocked engine (:mod:`repro.core.engine_blocked`).
-    """
-    a_col_nnz = np.count_nonzero(a, axis=0)
-    b_row_nnz = np.count_nonzero(b, axis=1)
-    return (a_col_nnz > 0) & (b_row_nnz > 0)
-
-
-def vectorized_numeric_product(
-    a: np.ndarray,
-    b: np.ndarray,
-    a_col_nnz: "np.ndarray | None" = None,
-    b_row_nnz: "np.ndarray | None" = None,
-    a_finite: "bool | None" = None,
-    b_finite: "bool | None" = None,
-) -> np.ndarray:
+def vectorized_numeric_product(a, b) -> np.ndarray:
     """``a @ b`` in float64 with reference-identical rounding.
 
-    One vectorized rank-1 update per reduction step, in increasing-``k``
-    order, reproduces the exact multiply/add sequence of the per-tile
-    merge loop (see the module docstring).  Steps whose A column or B row
-    is entirely zero contribute nothing and are skipped outright.
-
-    The optional ``*_nnz`` / ``*_finite`` arguments let a caller holding
-    pre-encoded operands (:class:`~repro.core.operands.EncodedOperand`)
-    skip the per-call reductions; passing them never changes the result.
+    Either operand may be a dense ndarray or any pre-encoded type
+    accepted by :func:`repro.core.operands.as_gemm_operand`; a
+    persistent :class:`~repro.core.operands.EncodedOperand` keeps its
+    CSR encoding for later calls.  The side with fewer multiply-adds is
+    encoded unless it holds a non-finite value; two non-finite sides
+    take the CSR x CSR product.  The module docstring shows why every
+    path is exact.
     """
-    m_dim, k_dim = a.shape
-    n_dim = b.shape[1]
-    a64 = a.astype(np.float64, copy=False)
-    b64 = b.astype(np.float64, copy=False)
-    output = np.zeros((m_dim, n_dim), dtype=np.float64)
-    if a_col_nnz is None:
-        a_col_nnz = np.count_nonzero(a64, axis=0)
-    if b_row_nnz is None:
-        b_row_nnz = np.count_nonzero(b64, axis=1)
-    # The dense fast path multiplies zero positions too; 0.0 * inf = NaN
-    # would diverge from the reference (which never forms products with
-    # a zero operand), so non-finite inputs always take the condensed path.
-    if a_finite is None:
-        a_finite = bool(np.isfinite(a64).all())
-    if b_finite is None:
-        b_finite = bool(np.isfinite(b64).all())
-    all_finite = a_finite and b_finite
-    dense_cutoff = 0.25 * m_dim * n_dim
-    for k in np.flatnonzero((a_col_nnz > 0) & (b_row_nnz > 0)):
-        if all_finite and a_col_nnz[k] * b_row_nnz[k] > dense_cutoff:
-            # Near-dense step: a full rank-1 update is cheaper than
-            # gathering; the extra zero additions round identically.
-            output += np.outer(a64[:, k], b64[k, :])
-        else:
-            # Condense the step: only (non-zero row, non-zero column)
-            # positions receive a partial product, exactly as the merge
-            # loop scatters them.
-            rows = np.flatnonzero(a64[:, k])
-            cols = np.flatnonzero(b64[k, :])
-            output[np.ix_(rows, cols)] += np.outer(a64[rows, k], b64[k, cols])
-    return output
+    a_op = as_gemm_operand(a, "a", "a")
+    b_op = as_gemm_operand(b, "b", "b")
+    (m_dim, k_dim), n_dim = a_op.shape, b_op.shape[1]
+    if k_dim != b_op.shape[0]:
+        raise ShapeError(f"inner dimensions differ: {a_op.shape} @ {b_op.shape}")
+    encoded = a_op if a_op.nnz * n_dim <= b_op.nnz * m_dim else b_op
+    if not encoded.all_finite:
+        encoded = b_op if encoded is a_op else a_op
+        if not encoded.all_finite:
+            return (a_op.csr() @ b_op.csr().T).toarray()
+    if encoded.side == "a":
+        return a_op.csr() @ np.asarray(b_op.dense, dtype=np.float64)
+    return (b_op.csr() @ np.asarray(a_op.dense.T, dtype=np.float64)).T
 
 
 def vectorized_device_stats(
@@ -172,12 +151,5 @@ def vectorized_device_spgemm(
     stats = device_stats_from_operands(
         a_op, b_op, config, element_bytes=element_bytes
     )
-    output = vectorized_numeric_product(
-        a_op.dense,
-        b_op.dense,
-        a_col_nnz=a_op.k_nnz,
-        b_row_nnz=b_op.k_nnz,
-        a_finite=a_op.all_finite,
-        b_finite=b_op.all_finite,
-    )
+    output = vectorized_numeric_product(a_op, b_op)
     return DeviceSpGemmResult(output=output, stats=stats)

@@ -1,15 +1,19 @@
 """K-panel blocked functional SpGEMM engine — the large-shape fast path.
 
-The vectorized engine (:mod:`repro.core.engine`) replays the condensed
-outer-product semantics literally: one Python-level rank-1 update per
-non-empty reduction step.  That is bit-identical to the reference loop
-but still O(K) interpreter iterations, which caps Figure 21/22-sized
-numeric SpGEMMs (a 2048^3 product spends seconds in the per-k loop).
+The vectorized engine (:mod:`repro.core.engine`) is exact: one CSR x
+dense product over the sparser operand, summing each output element in
+ascending ``k`` like the reference loop.  Its cost is one scalar
+multiply-add per stored non-zero and dense column, so on Figure
+21/22-sized numeric SpGEMMs at moderate sparsity the dense BLAS kernels
+win by a wide margin.
 
 This module applies the panel blocking the paper's thread-block tiling
-(Figures 8-9) already describes.  The reduction dimension is partitioned
-into K-panels of ``panel_tiles`` warp k-tiles (``WarpTileConfig.tk``
-steps each).  For every panel:
+(Figures 8-9) already describes.  When every reduction step survives
+(see below) the whole product is one BLAS matmul over the full K: in
+float32 when both operands are small integers (see the guarantees
+below), in float64 otherwise.  When some step is dead, the reduction
+dimension is partitioned into K-panels of ``panel_tiles`` warp k-tiles
+(``WarpTileConfig.tk`` steps each).  For every panel:
 
 1. the *surviving* reduction steps are selected — a step survives when
    its A column and its B row both hold at least one non-zero, the same
@@ -42,24 +46,31 @@ bit-identical to the reference backend by construction.
 Accumulation-order guarantees
 -----------------------------
 
-Panels accumulate in ascending-k order, but *within* a panel the
-multiply-add order is whatever the BLAS kernel picks.  Consequently:
+Panels accumulate in ascending-k order, but *within* a panel (or the
+single whole-K matmul) the multiply-add order is whatever the BLAS
+kernel picks.  Consequently:
 
 * on integer-valued data (all products and partial sums exactly
   representable in float64) the output is exactly equal to the reference
   loop — addition of exactly-representable values is associative,
+* the whole-K matmul runs in float32 only when ``K * max|a| * max|b|``
+  is at most ``2**24`` on integer-valued operands: every product and
+  every partial sum is then an integer float32 holds exactly, whatever
+  order BLAS sums in, so the result equals the float64 one exactly,
 * on general float data the result may differ from the reference loop in
   the last bits; both are correct float64 evaluations of the same sum
   and agree to well within 2 float32 ulps (asserted by the Hypothesis
   parity suite in ``tests/core/test_engine_blocked.py``),
-* non-finite operands (inf/NaN) always fall back to the per-step
-  condensed path, because a dense panel product would form ``0 * inf =
-  NaN`` partials the condensed hardware never evaluates.  The fallback
-  is bit-identical to the reference loop, so non-finite parity stays
+* non-finite operands (inf/NaN) always fall back to the exact engine,
+  because a dense panel product would form ``0 * inf = NaN`` partials
+  the condensed hardware never evaluates.  The fallback is
+  bit-identical to the reference loop, so non-finite parity stays
   exact.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -70,6 +81,9 @@ from repro.core.operands import (
 )
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ShapeError
+
+#: Integers up to this magnitude are exact in float32 (24-bit significand).
+FLOAT32_EXACT_INT = 1 << 24
 
 #: Warp k-tiles folded into one matmul panel.  With the paper's
 #: ``tk = 16`` this makes 256-step panels: wide enough that BLAS
@@ -106,6 +120,17 @@ def _panel_operand(
     return dense64[:, survivors] if op.side == "a" else dense64[survivors, :]
 
 
+def _float32_exact(a_op: EncodedOperand, b_op: EncodedOperand) -> bool:
+    """Whether both operands are integer-valued (hence finite) and
+    ``K * max|a| * max|b| <= 2**24``, so that a float32 matmul is exact
+    (see the module docstring)."""
+    a_peak = a_op.integer_peak
+    return (
+        a_peak < math.inf
+        and a_op.shape[1] * a_peak * b_op.integer_peak <= FLOAT32_EXACT_INT
+    )
+
+
 def blocked_numeric_product(
     a,
     b,
@@ -117,8 +142,8 @@ def blocked_numeric_product(
     See the module docstring for the panel-gather algorithm and the
     accumulation-order guarantees.  Non-finite operands delegate to
     :func:`repro.core.engine.vectorized_numeric_product`, which never
-    forms products with a zero operand.  Operands may be ndarrays or
-    pre-encoded :class:`~repro.core.operands.EncodedOperand` objects.
+    forms ``0 * inf``.  Operands may be ndarrays or pre-encoded
+    :class:`~repro.core.operands.EncodedOperand` objects.
     """
     from repro.core.engine import vectorized_numeric_product
 
@@ -133,17 +158,21 @@ def blocked_numeric_product(
     alive = a_op.k_activity & b_op.k_activity
     if not alive.any():
         return output
+    if alive.all() and _float32_exact(a_op, b_op):
+        # Every step survives, so panels would only split one matmul into
+        # several passes over the output; small integers make it exact
+        # in float32, at half the float64 cost.
+        product = np.matmul(
+            a_op.dense.astype(np.float32, copy=False),
+            b_op.dense.astype(np.float32, copy=False),
+        )
+        return product.astype(np.float64)
     if not (a_op.all_finite and b_op.all_finite):
         # A dense panel matmul would evaluate 0 * inf = NaN partials the
-        # condensed reference never forms; the per-step path is exact.
-        return vectorized_numeric_product(
-            a_op.dense,
-            b_op.dense,
-            a_col_nnz=a_op.k_nnz,
-            b_row_nnz=b_op.k_nnz,
-            a_finite=a_op.all_finite,
-            b_finite=b_op.all_finite,
-        )
+        # condensed reference never forms; the exact engine never does.
+        return vectorized_numeric_product(a_op, b_op)
+    if alive.all():
+        return np.matmul(a_op.dense64, b_op.dense64)
 
     panel = config.tk * panel_tiles
     a_panels = a_op.panels(panel)

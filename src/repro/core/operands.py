@@ -21,8 +21,12 @@ bit-identical whether an operand arrives dense or pre-encoded
   reference backend walks (skipping its per-call ``from_dense``).
 * :meth:`EncodedOperand.panels` — condensed K-panel blocks for the
   blocked engine (the static side of every panel matmul, gathered once).
+* :meth:`EncodedOperand.csr` — the float64 CSR the exact engine
+  multiplies when this is the sparser side (one row per free index,
+  ``k`` ascending within each row).
 * :attr:`EncodedOperand.dense64` / :attr:`EncodedOperand.k_nnz` /
-  :attr:`EncodedOperand.all_finite` — the numeric-path ingredients.
+  :attr:`EncodedOperand.all_finite` / :attr:`EncodedOperand.integer_peak`
+  — the numeric-path ingredients.
 
 ``device_spgemm`` (and therefore ``spgemm`` / ``sparse_conv2d``) accepts
 an :class:`EncodedOperand`, a :class:`~repro.formats.hierarchical.TwoLevelBitmapMatrix`,
@@ -34,9 +38,11 @@ repeated calls with the same encoding pay the reductions only once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.spgemm_warp import WarpTileConfig
 from repro.errors import ConfigError
@@ -96,6 +102,32 @@ def two_level_footprint_bytes(
     element_bits = int(areas[occupied].sum())
     warp_bits = int(tile_nnz.size)
     return nnz * element_bytes + (warp_bits + element_bits + 7) // 8
+
+
+#: Elements per chunk of the integer scan: small enough that its
+#: temporaries stay in cache, large enough that the loop is cheap.
+_SCAN_CHUNK = 1 << 16
+
+
+def _integer_peak(dense: np.ndarray) -> float:
+    """Largest ``|value|`` of an integer-valued float array, else ``inf``.
+
+    The scan runs in row chunks and stops at the first chunk holding a
+    non-integer (or NaN), so general float data costs about one chunk.
+    Non-float dtypes report ``inf``.
+    """
+    if dense.dtype.kind != "f":
+        return math.inf
+    if dense.size == 0:
+        return 0.0
+    peak = 0.0
+    step = max(1, _SCAN_CHUNK // dense.shape[1])
+    for r0 in range(0, dense.shape[0], step):
+        chunk = dense[r0 : r0 + step]
+        if not np.array_equal(np.rint(chunk), chunk):
+            return math.inf
+        peak = max(peak, float(np.abs(chunk).max()))
+    return peak
 
 
 @dataclass(frozen=True)
@@ -208,9 +240,9 @@ class EncodedOperand:
         side: ``"a"`` (left operand, K along columns) or ``"b"`` (right
             operand, K along rows).
         persistent: whether the operand outlives a single call.  The
-            blocked engine only builds K-panel caches on persistent
-            operands; throwaway wrappers of plain ndarrays use the
-            direct gather path instead.
+            engines only cache K-panels and the CSR encoding on
+            persistent operands; throwaway wrappers of plain ndarrays
+            rebuild what a call needs instead.
     """
 
     __slots__ = (
@@ -220,9 +252,11 @@ class EncodedOperand:
         "_dense64",
         "_k_nnz",
         "_finite",
+        "_integer_peak",
         "_summaries",
         "_two_levels",
         "_panels",
+        "_csr",
         "_source_encoding",
     )
 
@@ -237,9 +271,11 @@ class EncodedOperand:
         self._dense64: "np.ndarray | None" = None
         self._k_nnz: "np.ndarray | None" = None
         self._finite: "bool | None" = None
+        self._integer_peak: "float | None" = None
         self._summaries: dict = {}
         self._two_levels: dict = {}
         self._panels: dict = {}
+        self._csr: "sparse.csr_array | None" = None
         self._source_encoding = None
 
     # ------------------------------------------------------------------ #
@@ -283,7 +319,7 @@ class EncodedOperand:
                 break
             else:
                 axis = 0 if self.side == "a" else 1
-                self._k_nnz = np.count_nonzero(self.dense64, axis=axis).astype(
+                self._k_nnz = np.count_nonzero(self.dense, axis=axis).astype(
                     np.int64, copy=False
                 )
         return self._k_nnz
@@ -309,13 +345,23 @@ class EncodedOperand:
 
     @property
     def all_finite(self) -> bool:
-        """Whether every element is finite (non-finite operands force the
-        bit-exact condensed numeric path).  Checked on the original
-        array — float64 promotion preserves finiteness — so narrow
-        operands scan half the bytes."""
+        """Whether every element is finite.  A non-finite operand is
+        never the exact engine's CSR side and keeps the blocked engine
+        off its dense panels.  Checked on the original array — float64
+        promotion preserves finiteness — so narrow operands scan half
+        the bytes."""
         if self._finite is None:
             self._finite = bool(np.isfinite(self.dense).all())
         return self._finite
+
+    @property
+    def integer_peak(self) -> float:
+        """Largest ``|value|`` of a float operand whose every element is
+        an integer, else ``inf``.  Lets the blocked engine prove a
+        float32 matmul exact."""
+        if self._integer_peak is None:
+            self._integer_peak = _integer_peak(self.dense)
+        return self._integer_peak
 
     # ------------------------------------------------------------------ #
     # Statistics / encodings
@@ -411,15 +457,40 @@ class EncodedOperand:
             self._panels[panel] = cached
         return cached
 
+    def csr(self) -> "sparse.csr_array":
+        """Float64 CSR with one row per free index, ``k`` ascending.
+
+        The rows are the rows of A (side ``"a"``) or the columns of B
+        (side ``"b"``); each stores its non-zero steps in ascending
+        ``k``, which is the order the exact engine accumulates them in.
+        ``-0.0`` counts as zero, as in every other reduction here.
+        Cached only on persistent operands.  The encoding is built
+        completely before it is attached, so threads sharing an operand
+        only ever see a finished one.
+        """
+        cached = self._csr
+        if cached is not None:
+            return cached
+        rows_major = self.dense if self.side == "a" else self.dense.T
+        # Built from the C-order non-zeros, so k ascends within each row.
+        encoded = sparse.csr_array(rows_major, dtype=np.float64)
+        if self.persistent:
+            self._csr = encoded
+        return encoded
+
     def warm(
         self,
         config: WarpTileConfig,
         element_bytes: int = 2,
         panel: "int | None" = None,
     ) -> "EncodedOperand":
-        """Eagerly populate the caches a serving session will hit."""
+        """Eagerly populate the per-side reductions a session will hit.
+
+        The float64 copy and the CSR encoding are left to the first
+        multiply: only the engine that runs knows which one it needs.
+        """
         self.summary(config, element_bytes)
-        _ = self.dense64, self.k_nnz, self.all_finite
+        _ = self.k_nnz, self.all_finite
         if panel is not None:
             self.panels(panel)
         return self
@@ -440,10 +511,10 @@ def as_gemm_operand(operand, side: str, name: str = "operand") -> EncodedOperand
     * a plain 2-D ndarray — wrapped fresh (non-persistent).
 
     Attached wrappers live as long as the encoding object does and keep
-    whatever caches their use populated (float64 view, summaries,
-    partial-panel gathers) — that *is* the encode-once amortisation, but
-    it means a retained encoding can hold a few times its matrix bytes;
-    drop the encoding object to release everything.
+    whatever caches their use populated (float64 view, summaries, CSR
+    encoding, partial-panel gathers) — that *is* the encode-once
+    amortisation, but it means a retained encoding can hold a few times
+    its matrix bytes; drop the encoding object to release everything.
     """
     if isinstance(operand, EncodedOperand):
         if operand.side != side:

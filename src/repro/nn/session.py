@@ -13,9 +13,11 @@ precisely the amortisation the paper's bitmap encoding is designed for
 * every layer's pruned weights are materialised once (memoized across
   compiles via :mod:`repro.nn.synthetic`) and encoded once as a
   persistent :class:`~repro.core.operands.EncodedOperand` — the
-  closed-form statistics summary, the float64 view, the per-k non-zero
-  counts and (on first blocked multiply) the condensed K-panels are all
-  cached for the session lifetime;
+  closed-form statistics summary and the per-k non-zero counts are
+  cached at compile time; the CSR encoding (on the first exact-engine
+  multiply that encodes the weight side) or the float64 copy and
+  condensed K-panels (on the first blocked multiply) attach later and
+  persist for the session lifetime;
 * :meth:`CompiledModel.run` serves a whole batch: per layer, the B
   per-image operands are stacked along the fused GEMM's batch axis (the
   lowered-row M dimension for conv layers, the transposed-activation N
@@ -33,10 +35,11 @@ make this hold (asserted in ``tests/nn/test_session.py``):
 
 * the engine backend is resolved from the *per-image* GEMM shape, never
   the fused one, so a batch never changes which engine semantics apply;
-* the vectorized engine's rank-1 updates are fold-safe — every output
-  element receives its products independently of all other rows and
-  columns — so vectorized layers genuinely execute as one fused SpGEMM
-  over the stacked operand;
+* the vectorized engine's CSR x dense product is fold-safe — every
+  output element is summed from its own row of A and column of B in
+  ascending ``k``, independently of all other rows and columns, and
+  which side gets encoded never changes the result — so vectorized
+  layers genuinely execute as one fused SpGEMM over the stacked operand;
 * BLAS matmuls are *not* fold-safe (thread splits and kernel selection
   change with the operand shape), so blocked layers keep per-image panel
   products inside the batched call; the fused work they share is the
@@ -283,12 +286,7 @@ class CompiledModel:
                 for low in lowered
             ]
             fused = lowered[0] if len(lowered) == 1 else np.concatenate(lowered)
-            out = vectorized_numeric_product(
-                fused,
-                w_op.dense,
-                b_row_nnz=w_op.k_nnz,
-                b_finite=w_op.all_finite,
-            )
+            out = vectorized_numeric_product(fused, w_op)
             outputs = [
                 out[index * m_img : (index + 1) * m_img]
                 for index in range(len(images))
@@ -358,12 +356,7 @@ class CompiledModel:
             fused = (
                 activations[0] if len(activations) == 1 else np.vstack(activations)
             ).T
-            out = vectorized_numeric_product(
-                w_op.dense,
-                fused,
-                a_col_nnz=w_op.k_nnz,
-                a_finite=w_op.all_finite,
-            )
+            out = vectorized_numeric_product(w_op, fused)
             outputs = [
                 out[:, index * m_rows : (index + 1) * m_rows]
                 for index in range(len(images))
@@ -409,9 +402,10 @@ def compile_model(
     """Compile a model into a serving session.
 
     Materialises and encodes every layer's pruned weights once: the
-    statistics summaries, float64 views and per-k counts are warmed
-    eagerly; the blocked engine's condensed K-panels attach on the first
-    batch and persist for the session lifetime.
+    statistics summaries and per-k counts are warmed eagerly; the exact
+    engine's CSR encoding or the blocked engine's float64 copy and
+    condensed K-panels attach on the first batch and persist for the
+    session lifetime.
 
     Args:
         model: a :class:`ModelDefinition` or registry name.

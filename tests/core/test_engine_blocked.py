@@ -28,6 +28,7 @@ from repro.core.engine_blocked import (
     blocked_device_spgemm,
     blocked_numeric_product,
 )
+from repro.core.operands import EncodedOperand
 from repro.core.spgemm_device import (
     AUTO_BLOCKED_MIN_WORK,
     device_spgemm,
@@ -197,6 +198,130 @@ class TestAdversarialCases:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             blocked_device_spgemm(np.zeros((8, 4)), np.zeros((8, 4)))
+
+
+class TestWholeKMatmul:
+    """Every step alive: one matmul over the whole K; else K-panels."""
+
+    @staticmethod
+    def _matmuls(monkeypatch, a, b):
+        """Output of a 16-step-panel blocked product plus the
+        (reduction depth, operand dtype) of every matmul it made."""
+        calls = []
+        matmul = np.matmul
+
+        def spy(x, y, *args, **kwargs):
+            calls.append((x.shape[1], x.dtype))
+            return matmul(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return blocked_numeric_product(a, b, panel_tiles=1), calls
+
+    @classmethod
+    def _matmul_depths(cls, monkeypatch, a, b):
+        out, calls = cls._matmuls(monkeypatch, a, b)
+        return out, [depth for depth, _ in calls]
+
+    @staticmethod
+    def _integer_operands(seed):
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((23, 70)) < 0.5, rng.integers(-8, 9, (23, 70)), 0)
+        b = np.where(rng.random((70, 19)) < 0.5, rng.integers(-8, 9, (70, 19)), 0)
+        a[0], b[:, 0] = 3, -5  # every step alive on both sides
+        return a.astype(np.float64), b.astype(np.float64)
+
+    def test_all_steps_alive_is_one_whole_k_matmul(self, monkeypatch):
+        a, b = self._integer_operands(1)
+        reference = device_spgemm(a, b, backend="reference").output
+        out, depths = self._matmul_depths(monkeypatch, a, b)
+        assert depths == [70]
+        assert np.array_equal(reference, out)
+
+    def test_some_dead_steps_still_take_panels(self, monkeypatch):
+        a, b = self._integer_operands(2)
+        a[:, 20] = 0.0
+        b[50, :] = 0.0
+        reference = device_spgemm(a, b, backend="reference").output
+        out, depths = self._matmul_depths(monkeypatch, a, b)
+        assert len(depths) == 5 and max(depths) <= 16 and sum(depths) == 68
+        assert np.array_equal(reference, out)
+
+    def test_small_integers_take_one_float32_matmul(self, monkeypatch):
+        a, b = self._integer_operands(3)
+        reference = device_spgemm(a, b, backend="reference").output
+        out, calls = self._matmuls(monkeypatch, a, b)
+        assert calls == [(70, np.float32)]
+        assert out.dtype == np.float64
+        assert np.array_equal(reference, out)
+
+    def test_float32_bound_is_inclusive(self, monkeypatch):
+        # K * max|a| * max|b| == 2**24 exactly: every output is 2**24.
+        a = np.full((3, 16), 2.0**10)
+        b = np.full((16, 4), -(2.0**10))
+        out, calls = self._matmuls(monkeypatch, a, b)
+        assert calls == [(16, np.float32)]
+        assert np.array_equal(out, np.full((3, 4), -(2.0**24)))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # Past the float32 bound: 17 * 2**10 * 2**10 > 2**24.
+            (np.full((3, 17), 2.0**10), np.full((17, 4), 2.0**10)),
+            # Past it with a sum float32 cannot hold: 1 + 17 * 2**20.
+            (np.array([[1.0, 2.0**20]] * 3), np.array([[1.0], [2.0**4 + 1]])),
+            # Not integer-valued.
+            (np.full((3, 16), 0.5), np.full((16, 4), 3.0)),
+        ],
+    )
+    def test_other_operands_take_float64(self, monkeypatch, a, b):
+        reference = device_spgemm(a, b, backend="reference").output
+        out, calls = self._matmuls(monkeypatch, a, b)
+        assert [dtype for _, dtype in calls] == [np.float64]
+        assert np.array_equal(reference, out)
+
+    def test_non_finite_integer_operand_falls_back_exactly(self):
+        a, b = self._integer_operands(4)
+        a[2, 5] = np.inf
+        b[7, 3] = -np.inf
+        reference = device_spgemm(a, b, backend="reference").output
+        out = blocked_numeric_product(a, b)
+        assert np.array_equal(reference, out, equal_nan=True)
+        assert np.array_equal(np.signbit(reference), np.signbit(out))
+
+
+class TestIntegerPeak:
+    """``EncodedOperand.integer_peak``: max |value| of integer data."""
+
+    @pytest.mark.parametrize(
+        "values, peak",
+        [
+            (np.array([[0.0, -3.0], [2.0, -0.0]]), 3.0),
+            (np.array([[1.0, 2.5]]), np.inf),
+            (np.array([[1.0, np.nan]]), np.inf),
+            (np.array([[1.0, -np.inf]]), np.inf),
+            (np.array([[-8, 5]], dtype=np.int8), np.inf),
+            (np.array([[True, False]]), np.inf),
+            (np.zeros((0, 4)), 0.0),
+            (np.zeros((4, 0), dtype=np.float32), 0.0),
+        ],
+    )
+    def test_small_cases(self, values, peak):
+        assert EncodedOperand(values, "a").integer_peak == peak
+
+    def test_scan_covers_every_chunk(self):
+        # Several scan chunks; the largest value and the one fraction
+        # sit in the last rows.
+        values = np.ones((300, 1000), dtype=np.float32)
+        values[-1, -1] = -4096.0
+        assert EncodedOperand(values, "b").integer_peak == 4096.0
+        values[-1, 0] = 0.25
+        assert EncodedOperand(values, "b").integer_peak == np.inf
+
+    def test_cached_on_the_operand(self):
+        op = EncodedOperand(np.full((2, 2), 3.0), "a")
+        assert op.integer_peak == 3.0
+        op.dense[0, 0] = 0.5  # mutation after encoding is not re-scanned
+        assert op.integer_peak == 3.0
 
 
 class TestAutoDispatch:
