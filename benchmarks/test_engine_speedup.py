@@ -54,7 +54,7 @@ def test_bench_engine_speedup_512(benchmark):
     reference = device_spgemm(a, b, backend="reference")
     reference_seconds = time.perf_counter() - start
 
-    # Pin backend="vectorized": this benchmark gates the per-step
+    # Pin backend="vectorized": this benchmark gates the CSR x dense
     # engine's bit-identity with the reference loop; the default "auto"
     # routes a 512^3 product to the blocked engine (benchmarked
     # separately in test_blocked_engine_speedup.py).

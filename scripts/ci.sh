@@ -6,10 +6,13 @@
 # batch-folded sessions must be bit-identical to the dense/per-image
 # paths), the model-zoo conformance grid (every model x pruning method
 # served through compiled sessions, pinned to golden rows),
-# the serving-daemon suite (deterministic fault injection, batching
-# properties, exact-percentile stats — each test under a hard SIGALRM
-# timeout) plus a quick daemon smoke run, a wall-clock chaos soak smoke
-# of the socket serving front-end (real server subprocess, seeded net
+# the serving suite (the clock-free scheduler core both serving drivers
+# share, deterministic fault injection, batching properties,
+# exact-percentile stats — each test under a hard SIGALRM timeout — plus
+# the serve_daemon golden, so a core change that moves the daemon's
+# replayed timeline fails there) and a quick daemon smoke run, a
+# wall-clock chaos soak smoke of the socket serving front-end (real
+# server subprocess, seeded net
 # faults, SIGKILL + restart, SIGTERM drain — the exactly-one-terminal,
 # digest-identity and drain invariants must hold), the sweep-runtime
 # suite
@@ -50,10 +53,11 @@ python -m pytest -q tests/core/test_encoded_operands.py tests/nn/test_session.py
 echo "== model-zoo conformance grid (every model x pruning method x backend vs golden rows) =="
 python -m pytest -q -m conformance tests/conformance
 
-echo "== serving daemon suite (fault injection, batching properties, latency stats) =="
+echo "== serving suite (scheduler core, fault injection, batching properties, latency stats, serve_daemon golden) =="
 # Hard wall-clock bound on top of the per-test SIGALRM timeout: a hung
 # virtual-clock event loop must fail CI, not stall it.
 timeout 600 python -m pytest -q -m serving tests/serving
+timeout 600 python -m pytest -q tests/experiments/test_golden.py -k serve_daemon
 
 echo "== serving daemon smoke (quick Poisson run over the zoo) =="
 timeout 300 python -m repro.experiments.runner --quick --no-cache serve_daemon \

@@ -1,18 +1,17 @@
-"""Async serving daemon over compiled inference sessions.
+"""Serving layer over compiled inference sessions.
 
-The serving layer wraps the batch-folding session runtime
-(:mod:`repro.nn.session`) in a long-running request daemon: dynamic
-batching with deadline flushing, bounded-queue admission control,
-multi-worker sharding, exact tail-latency percentiles and a
-deterministic virtual-clock core that makes every run — including
-injected crash scenarios — replayable bit for bit.  See
-:mod:`repro.serving.daemon` for the determinism contract.
-
-On top of the virtual-clock core sits the wall-clock socket front-end:
-:mod:`repro.serving.server` (always-on TCP/Unix server with load
-shedding and graceful drain), :mod:`repro.serving.protocol`
-(length-prefixed JSON frames + output digests),
-:mod:`repro.serving.client` (deadline-aware retrying client),
+Two drivers share one clock-free scheduling core
+(:mod:`repro.serving.scheduler`), where admission control, dynamic
+batching with deadline flushing, load shedding, expiry, retry or
+failure on worker death (the last death fails every pending request
+``no-workers`` and refuses later arrivals ``no-workers``) and the
+exactly-once terminal ledger are written once:
+:mod:`repro.serving.daemon`, a deterministic virtual-clock event loop
+that replays every run bit for bit, injected crashes included, and
+:mod:`repro.serving.server`, an always-on TCP/Unix socket server on
+worker threads with graceful drain.  Around them:
+:mod:`repro.serving.protocol` (length-prefixed JSON frames + output
+digests), :mod:`repro.serving.client` (deadline-aware retrying client),
 :mod:`repro.serving.health` (liveness/readiness + counters) and
 :mod:`repro.serving.netfaults` (seeded chaos for the soak harness).
 """
@@ -56,7 +55,8 @@ from repro.serving.queue import (
     FLUSH_FULL,
     BatchQueue,
 )
-from repro.serving.server import ServingServer, ShedPolicy, demo_definitions
+from repro.serving.scheduler import Scheduler, ShedPolicy
+from repro.serving.server import ServingServer, demo_definitions
 from repro.serving.stats import (
     REPORTED_PERCENTILES,
     LatencyRecorder,
@@ -86,6 +86,7 @@ __all__ = [
     "Request",
     "RequestBusy",
     "RequestNotServed",
+    "Scheduler",
     "ServedResponse",
     "ServerFaultPlan",
     "ServerUnavailable",

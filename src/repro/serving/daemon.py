@@ -1,41 +1,34 @@
-"""The serving daemon: a deterministic event loop over compiled sessions.
+"""The serving daemon: the scheduling core on a virtual clock.
 
 :class:`ServingDaemon` turns the one-shot batch fold of
-:mod:`repro.nn.session` into a long-running service: requests arrive on
-a virtual timeline, per-model :class:`~repro.serving.queue.BatchQueue`
-shards accumulate them into dynamic batches (flush on ``batch_cap`` or
-``deadline_us``, whichever first), admission control answers overflow
-and duplicate ids with explicit ``rejected`` responses, and the flushed
-batches are sharded across ``workers`` logical workers, each serving one
-batch at a time through the pool's compiled sessions.
+:mod:`repro.nn.session` into a long-running service on a virtual
+timeline.  Its scheduling rules — admission, batch selection on
+``batch_cap`` or ``deadline_us``, retry or ``no-workers`` failure on
+worker death and the exactly-once terminal ledger — are the clock-free
+:class:`~repro.serving.scheduler.Scheduler` that the socket server
+(:mod:`repro.serving.server`) drives too.  This module keeps only the
+event heap, the worker tokens that void a dead worker's completion, the
+modelled service time and the report types.  The daemon never drains,
+its requests carry no deadline, and its batch cap never shrinks.
 
 Determinism contract
 --------------------
 
-The daemon is a discrete-event simulation wrapped around *real* batch
-execution:
-
 * **Time is virtual.**  Every timestamp comes from the injected
   :class:`~repro.serving.clock.VirtualClock`; service time is modelled
   from the batch's exact fused OHMMA count on the configured GPU preset
-  (plus a fixed per-dispatch ``batch_overhead_us``, which is what makes
-  batching pay off on the modelled timeline).  Nothing reads wall time,
-  so latency percentiles are a pure function of (schedule, config,
-  fault plan) and are golden-snapshotted in the ``serve_daemon``
-  experiment.
+  plus a fixed per-dispatch ``batch_overhead_us`` (the cost batching
+  amortises).  Nothing reads wall time, so latency percentiles are a
+  pure function of (schedule, config, fault plan) and are
+  golden-snapshotted in the ``serve_daemon`` experiment.
 * **Outputs are real.**  Each dispatched batch executes
   :meth:`CompiledModel.run` immediately, so every completed response
-  carries the actual :class:`~repro.nn.functional.FunctionalModelRun` —
-  bit-identical, per image, to
+  carries the actual :class:`~repro.nn.functional.FunctionalModelRun`,
+  bit-identical per image to
   ``run_model_functional(model, ..., image=i, keep_outputs=True)``
-  whatever the interleaving (the conformance guarantee of PR 6 extended
-  to the concurrent path).
-* **Every caller gets a terminal response.**  Admitted requests either
-  complete or fail; refused requests are rejected at arrival.  Worker
-  deaths re-dispatch in-flight requests to survivors (bounded by
-  ``max_retries``) and fail them terminally when no capacity remains —
-  nothing is ever silently dropped (asserted request-by-request in
-  ``tests/serving/test_fault_injection.py``).
+  whatever the interleaving.
+* **Every caller gets a terminal response**, asserted request by request
+  in ``tests/serving/test_fault_injection.py``.
 
 Event ordering at equal virtual times is fixed (kills, then
 completions, then arrivals, then deadline timers; ties broken by an
@@ -46,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.errors import ConfigError
@@ -56,7 +49,9 @@ from repro.serving.arrivals import Request
 from repro.serving.clock import VirtualClock
 from repro.serving.faults import FaultPlan
 from repro.serving.pool import SessionPool
-from repro.serving.queue import BatchQueue
+from repro.serving.scheduler import (
+    COMPLETED, FAILED, REJECTED, Scheduler, ShedPolicy,
+)
 from repro.serving.stats import LatencyRecorder
 
 #: Modelled fixed cost of dispatching one batch (kernel launch, queue
@@ -64,10 +59,8 @@ from repro.serving.stats import LatencyRecorder
 #: timeline, mirroring why real serving systems batch at all.
 DEFAULT_BATCH_OVERHEAD_US = 50.0
 
-#: Terminal response statuses.
-COMPLETED = "completed"
-REJECTED = "rejected"
-FAILED = "failed"
+#: The daemon's shed ladder never shrinks the batch cap.
+_NO_SHED = ShedPolicy(cap_divisor=1)
 
 # Event priorities at equal virtual times (see module docstring).
 _PRIO_KILL = 0
@@ -86,8 +79,8 @@ class ServedResponse:
         finish_us: virtual time of the terminal event.
         latency_us: ``finish_us - arrival_us`` for completed requests,
             ``0.0`` otherwise.
-        reason: why a request was rejected (``queue-full``,
-            ``duplicate``, ``unknown-model``) or failed
+        reason: why a request was rejected (``no-workers``,
+            ``duplicate``, ``unknown-model``, ``queue-full``) or failed
             (``worker-died``, ``no-workers``); empty when completed.
         result: the per-image functional run (outputs + DeviceStats),
             present only on completed responses.
@@ -169,8 +162,7 @@ class _Worker:
     worker_id: int
     alive: bool = True
     token: int = 0  # increments per dispatch; stale completions no-op
-    busy: bool = False
-    inflight: "tuple | None" = None  # (batch, record, run)
+    inflight: "tuple | None" = None  # (batch, record, run) while busy
 
 
 class ServingDaemon:
@@ -205,10 +197,6 @@ class ServingDaemon:
         max_retries: int = 1,
         clock: "VirtualClock | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         if batch_overhead_us < 0:
             raise ConfigError(
                 f"batch_overhead_us must be >= 0, got {batch_overhead_us}"
@@ -223,9 +211,22 @@ class ServingDaemon:
         self.faults = faults or FaultPlan()
         self.max_retries = int(max_retries)
         self.clock = clock
-        # Validate the queue geometry once, eagerly.
-        BatchQueue("__validate__", self.batch_cap, self.deadline_us,
-                   self.queue_depth)
+        self._scheduler()  # validates the geometry, workers and retries
+
+    def _scheduler(self) -> Scheduler:
+        """A fresh scheduling core for one run."""
+        return Scheduler(
+            self.batch_cap, self.deadline_us, self.queue_depth,
+            self.worker_count, self.max_retries, known=self._known,
+            shed=_NO_SHED,
+        )
+
+    def _known(self, model: str) -> bool:
+        try:
+            self.pool.definition(model)
+        except ConfigError:
+            return False
+        return True
 
     # ------------------------------------------------------------------ #
     # Run
@@ -238,14 +239,12 @@ class ServingDaemon:
         terminal response.
         """
         clock = self.clock or VirtualClock()
-        queues: "dict[str, BatchQueue]" = {}
+        core = self._scheduler()
         workers = [_Worker(worker_id=i) for i in range(self.worker_count)]
         responses: list[ServedResponse] = []
         batches: list[BatchRecord] = []
         latency = LatencyRecorder()
         latency_by_model: "dict[str, LatencyRecorder]" = {}
-        seen_ids: set[str] = set()
-        attempts: "dict[str, int]" = {}
         wall_seconds = 0.0
 
         events: list = []
@@ -265,145 +264,92 @@ class ServingDaemon:
             push(kill.at_us, _PRIO_KILL, "kill", kill.worker)
 
         # ---------------- event handlers ---------------- #
-        def queue_for(model: str) -> BatchQueue:
-            queue = queues.get(model)
-            if queue is None:
-                queue = BatchQueue(
-                    model, self.batch_cap, self.deadline_us, self.queue_depth
-                )
-                queues[model] = queue
-            return queue
-
-        def schedule_head_deadline(queue: BatchQueue) -> None:
-            deadline = queue.head_deadline_us()
+        def schedule_head_deadline(model: str) -> None:
+            deadline = core.queues[model].head_deadline_us()
             if deadline is not None:
                 # A head that waited through a busy worker may already be
                 # overdue; it is due *now*, never in the past.
                 push(
                     max(deadline, clock.now_us),
-                    _PRIO_DEADLINE, "deadline", queue.model,
+                    _PRIO_DEADLINE, "deadline", model,
                 )
 
-        def terminal(response: ServedResponse) -> None:
-            responses.append(response)
-            if response.status == COMPLETED:
-                latency.record(response.latency_us)
-                latency_by_model.setdefault(
-                    response.request.model, LatencyRecorder()
-                ).record(response.latency_us)
+        def answer(terminals, now_us: float) -> None:
+            """Record the core's failures and deadline rejections."""
+            for request, status, reason in terminals:
+                responses.append(ServedResponse(
+                    request=request, status=status, finish_us=now_us,
+                    reason=reason, attempts=core.attempts[request.request_id],
+                ))
 
-        def idle_worker() -> "_Worker | None":
-            for worker in workers:
-                if worker.alive and not worker.busy:
-                    return worker
-            return None
-
-        def dispatch(queue: BatchQueue, worker: _Worker, cause: str,
-                     now_us: float) -> None:
+        def dispatch_due(now_us: float) -> None:
+            """Hand due batches to idle workers while both remain."""
             nonlocal wall_seconds
-            batch = queue.take_batch()
-            schedule_head_deadline(queue)  # the next head starts waiting
-            session = self.pool.session(queue.model)
-            wall_start = time.perf_counter()
-            run = session.run([request.image for request in batch])
-            wall_seconds += time.perf_counter() - wall_start
-            service_us = self.batch_overhead_us + self.config.cycles_to_us(
-                run.ohmma_issued / self.config.ohmma_slots_per_cycle
-            )
-            record = BatchRecord(
-                model=queue.model,
-                worker=worker.worker_id,
-                images=tuple(request.image for request in batch),
-                flush_cause=cause,
-                dispatch_us=now_us,
-                service_us=service_us,
-                completed=False,
-            )
-            for request in batch:
-                attempts[request.request_id] = (
-                    attempts.get(request.request_id, 0) + 1
+            while (due := core.due(now_us)) is not None:
+                idle = [w for w in workers if w.alive and w.inflight is None]
+                if not idle:
+                    return
+                model, cause, limit = due
+                batch, expired = core.take(model, limit, now_us)
+                answer(expired, now_us)
+                schedule_head_deadline(model)  # the next head starts waiting
+                if not batch:
+                    continue
+                wall_start = time.perf_counter()
+                run = self.pool.session(model).run([r.image for r in batch])
+                wall_seconds += time.perf_counter() - wall_start
+                service_us = self.batch_overhead_us + self.config.cycles_to_us(
+                    run.ohmma_issued / self.config.ohmma_slots_per_cycle
                 )
-            worker.busy = True
-            worker.token += 1
-            worker.inflight = (batch, record, run)
-            push(
-                now_us + service_us,
-                _PRIO_COMPLETE,
-                "complete",
-                (worker.worker_id, worker.token),
-            )
-
-        def drain(now_us: float) -> None:
-            """Flush every due batch an idle worker can take."""
-            progressed = True
-            while progressed:
-                progressed = False
-                for queue in queues.values():
-                    cause = queue.due_cause(now_us)
-                    if cause is None:
-                        continue
-                    worker = idle_worker()
-                    if worker is None:
-                        return
-                    dispatch(queue, worker, cause, now_us)
-                    progressed = True
+                worker = idle[0]
+                worker.token += 1
+                worker.inflight = (batch, BatchRecord(
+                    model=model, worker=worker.worker_id,
+                    images=tuple(request.image for request in batch),
+                    flush_cause=cause, dispatch_us=now_us,
+                    service_us=service_us, completed=False,
+                ), run)
+                push(
+                    now_us + service_us, _PRIO_COMPLETE, "complete",
+                    (worker.worker_id, worker.token),
+                )
 
         def on_arrival(request: Request, now_us: float) -> None:
-            if request.request_id in seen_ids:
-                terminal(ServedResponse(
+            reason = core.arrive(request, now_us)
+            if reason is not None:
+                responses.append(ServedResponse(
                     request=request, status=REJECTED, finish_us=now_us,
-                    reason="duplicate",
+                    reason=reason,
                 ))
                 return
-            try:
-                self.pool.definition(request.model)
-            except ConfigError:
-                terminal(ServedResponse(
-                    request=request, status=REJECTED, finish_us=now_us,
-                    reason="unknown-model",
-                ))
-                return
-            queue = queue_for(request.model)
-            was_empty = len(queue) == 0
-            if not queue.offer(request):
-                terminal(ServedResponse(
-                    request=request, status=REJECTED, finish_us=now_us,
-                    reason="queue-full",
-                ))
-                return
-            seen_ids.add(request.request_id)
-            if was_empty:
-                schedule_head_deadline(queue)
-            drain(now_us)
+            if len(core.queues[request.model]) == 1:
+                schedule_head_deadline(request.model)
+            dispatch_due(now_us)
 
         def on_complete(worker_id: int, token: int, now_us: float) -> None:
             worker = workers[worker_id]
             if not worker.alive or worker.token != token:
                 return  # stale: the worker died mid-batch
-            batch, record, run = worker.inflight
-            worker.busy = False
-            worker.inflight = None
-            batches.append(
-                BatchRecord(
-                    model=record.model, worker=record.worker,
-                    images=record.images, flush_cause=record.flush_cause,
-                    dispatch_us=record.dispatch_us,
-                    service_us=record.service_us, completed=True,
-                )
-            )
-            for index, request in enumerate(batch):
-                terminal(ServedResponse(
-                    request=request,
-                    status=COMPLETED,
-                    finish_us=now_us,
-                    latency_us=now_us - request.arrival_us,
-                    result=run.per_image[index],
-                    worker=worker_id,
-                    batch_size=len(batch),
+            (batch, record, run), worker.inflight = worker.inflight, None
+            batches.append(replace(record, completed=True))
+            results = {
+                request.request_id: result
+                for request, result in zip(batch, run.per_image)
+            }
+            for request, _, _ in core.complete(batch):
+                waited_us = now_us - request.arrival_us
+                latency.record(waited_us)
+                latency_by_model.setdefault(
+                    request.model, LatencyRecorder()
+                ).record(waited_us)
+                responses.append(ServedResponse(
+                    request=request, status=COMPLETED, finish_us=now_us,
+                    latency_us=waited_us, result=results[request.request_id],
+                    worker=worker_id, batch_size=len(batch),
                     flush_cause=record.flush_cause,
-                    attempts=attempts[request.request_id],
+                    attempts=core.attempts[request.request_id],
                 ))
-            drain(now_us)
+            dispatch_due(now_us)
 
         def on_kill(worker_id: int, now_us: float) -> None:
             if worker_id >= len(workers):
@@ -415,26 +361,15 @@ class ServingDaemon:
             if not worker.alive:
                 return
             worker.alive = False
-            inflight, worker.inflight, worker.busy = worker.inflight, None, False
+            inflight, worker.inflight = worker.inflight, None
             if inflight is None:
+                answer(core.died(None), now_us)
                 return
             batch, record, _ = inflight
             batches.append(record)  # completed=False: interrupted mid-batch
-            survivors = []
-            for request in batch:
-                if attempts[request.request_id] > self.max_retries:
-                    terminal(ServedResponse(
-                        request=request, status=FAILED, finish_us=now_us,
-                        reason="worker-died",
-                        attempts=attempts[request.request_id],
-                    ))
-                else:
-                    survivors.append(request)
-            if survivors:
-                queue = queue_for(record.model)
-                queue.requeue_front(tuple(survivors))
-                schedule_head_deadline(queue)
-            drain(now_us)
+            answer(core.died(record.model, batch), now_us)
+            schedule_head_deadline(record.model)  # a requeued head waits
+            dispatch_due(now_us)
 
         # ---------------- event loop ---------------- #
         while events:
@@ -447,21 +382,7 @@ class ServingDaemon:
             elif kind == "kill":
                 on_kill(payload, clock.now_us)
             else:  # deadline timer: just wake the dispatcher
-                drain(clock.now_us)
-
-        # Requests still pending can only mean no worker survived (every
-        # queue head always has a deadline event, so the loop cannot end
-        # with pending work while capacity exists).  Give each caller its
-        # terminal answer anyway.
-        any_alive = any(worker.alive for worker in workers)
-        for queue in queues.values():
-            for request in queue.pending:
-                terminal(ServedResponse(
-                    request=request, status=FAILED,
-                    finish_us=clock.now_us,
-                    reason="no-workers" if not any_alive else "stalled",
-                    attempts=attempts.get(request.request_id, 0),
-                ))
+                dispatch_due(clock.now_us)
 
         return DaemonReport(
             responses=tuple(responses),

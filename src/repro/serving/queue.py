@@ -3,11 +3,12 @@
 One :class:`BatchQueue` accumulates the pending requests of a single
 model.  A batch becomes *due* the moment the queue holds ``batch_cap``
 requests or the oldest pending request has waited ``deadline_us``
-(whichever happens first); the daemon drains due batches whenever a
-worker is idle.  Admission control is a hard bound on the pending depth:
-once ``queue_depth`` requests wait, further offers are refused and the
-daemon answers the caller with an explicit ``rejected`` response instead
-of letting the queue grow without bound.
+(whichever happens first).  The depth bound is hard: once
+``queue_depth`` requests wait, further offers are refused.  The queue
+knows nothing of workers, clocks or callers; the scheduling core
+(:mod:`repro.serving.scheduler`) owns one queue per model, takes due
+batches whenever its driver has an idle worker, and turns a refused
+offer into the caller's ``rejected(queue-full)`` answer.
 """
 
 from __future__ import annotations
@@ -21,6 +22,22 @@ from repro.serving.arrivals import Request
 FLUSH_FULL = "full"
 FLUSH_DEADLINE = "deadline"
 FLUSH_DRAIN = "drain"
+
+
+def check_geometry(
+    batch_cap: int, deadline_us: float, queue_depth: int
+) -> None:
+    """Raise :class:`ConfigError` unless a queue of this shape can work."""
+    if batch_cap < 1:
+        raise ConfigError(f"batch_cap must be >= 1, got {batch_cap}")
+    if deadline_us <= 0:
+        raise ConfigError(f"deadline_us must be > 0, got {deadline_us}")
+    if queue_depth < batch_cap:
+        raise ConfigError(
+            f"queue_depth ({queue_depth}) must be >= batch_cap "
+            f"({batch_cap}); a smaller bound could never admit a "
+            "full batch"
+        )
 
 
 class BatchQueue:
@@ -44,16 +61,7 @@ class BatchQueue:
         deadline_us: float,
         queue_depth: int,
     ) -> None:
-        if batch_cap < 1:
-            raise ConfigError(f"batch_cap must be >= 1, got {batch_cap}")
-        if deadline_us <= 0:
-            raise ConfigError(f"deadline_us must be > 0, got {deadline_us}")
-        if queue_depth < batch_cap:
-            raise ConfigError(
-                f"queue_depth ({queue_depth}) must be >= batch_cap "
-                f"({batch_cap}); a smaller bound could never admit a "
-                "full batch"
-            )
+        check_geometry(batch_cap, deadline_us, queue_depth)
         self.model = model
         self.batch_cap = int(batch_cap)
         self.deadline_us = float(deadline_us)
@@ -97,9 +105,12 @@ class BatchQueue:
             return None
         return self._pending[0].arrival_us + self.deadline_us
 
-    def due_cause(self, now_us: float) -> "str | None":
-        """Why a batch is due now: ``full``, ``deadline`` or not due."""
-        if len(self._pending) >= self.batch_cap:
+    def due_cause(
+        self, now_us: float, limit: "int | None" = None
+    ) -> "str | None":
+        """Why a batch is due now: ``full`` (at ``limit``, by default
+        ``batch_cap``), ``deadline`` or not due (``None``)."""
+        if len(self._pending) >= (self.batch_cap if limit is None else limit):
             return FLUSH_FULL
         deadline = self.head_deadline_us()
         if deadline is not None and now_us >= deadline:
@@ -111,9 +122,9 @@ class BatchQueue:
 
         Args:
             limit: cap override for this flush (defaults to
-                ``batch_cap``).  The wall-clock server's load-shedding
-                ladder passes a shrunken cap here when queues run deep,
-                without the queue itself having to know about shedding.
+                ``batch_cap``).  The load-shedding ladder passes a
+                shrunken cap here when queues run deep, without the
+                queue itself having to know about shedding.
         """
         cap = self.batch_cap if limit is None else int(limit)
         if cap < 1:

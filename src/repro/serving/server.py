@@ -1,49 +1,31 @@
-"""Wall-clock socket serving front-end over the daemon's batching core.
+"""Wall-clock socket serving driver over the scheduling core.
 
-The virtual-clock :class:`~repro.serving.daemon.ServingDaemon` proves
-the batching discipline deterministically; this module is the piece
-that actually *listens*: a TCP / Unix-domain-socket server speaking the
-length-prefixed JSON protocol of :mod:`repro.serving.protocol`, feeding
-the same per-model :class:`~repro.serving.queue.BatchQueue` discipline
-(flush on ``batch_cap`` or head-age ``deadline_ms``, whichever first)
-and the same compiled-session pool — so a completed response carries a
-digest of the *real* :meth:`CompiledModel.run` output, bit-identical to
-the per-image functional oracle.
+This module is the serving driver that *listens*: a TCP / Unix-domain
+socket server speaking the length-prefixed JSON protocol of
+:mod:`repro.serving.protocol`.  Every scheduling rule — admission and
+its refusal order, batch selection, the shed ladder, per-request
+deadline expiry, retry or ``no-workers`` failure on worker death and the
+exactly-once terminal ledger (a second terminal is counted in
+``violations`` and never sent) — is the clock-free
+:class:`~repro.serving.scheduler.Scheduler`, the same core the
+virtual-clock :class:`~repro.serving.daemon.ServingDaemon` drives.  This
+module keeps only sockets, threads, the condition variable every core
+call runs under, frames and health counters:
 
-Robustness model
-----------------
-
-* **Terminal-response contract.**  Every *accepted* request reaches
-  exactly one terminal response — ``completed``, ``rejected`` or
-  ``failed`` — enforced by a per-lifetime ledger; a second terminal for
-  the same id is counted as a ``violations`` invariant breach (asserted
-  zero by the soak harness) and never sent.  Admission refusals
-  (duplicate, unknown model, queue full, draining) answer immediately
-  with ``rejected`` before the request is ever accepted.
-* **Backpressure.**  Queues are bounded (``queue_depth`` per model);
-  overflow answers ``rejected(queue-full)`` with a ``retry_after_ms``
-  hint derived from the observed per-request service time, instead of
-  queueing unboundedly.
-* **Load-shedding ladder.**  Driven by queue depth
-  (:class:`ShedPolicy`): level 0 serves normally; level 1 (queue at
-  least ``soft_fraction`` full) shrinks the effective batch cap so
-  batches flush earlier and waiting time stops growing; level 2 (queue
-  full) rejects new work outright.
-* **Per-request deadlines.**  A client-propagated ``deadline_ms`` is
-  checked at admission and again when the batch is formed; an expired
-  request is answered ``rejected(deadline)`` and never executed.
-  Requests already dispatched are not cancelled mid-batch.
+* **Sends never run under the lock**, so a stalled peer costs its own
+  connection, not the batching loop.
+* **Backpressure.**  A ``queue-full`` or ``draining`` refusal carries a
+  ``retry_after_ms`` hint derived from the observed per-request service
+  time.  A client-propagated ``deadline_ms`` becomes the request's
+  absolute monotonic deadline.
 * **Graceful drain vs hard kill.**  SIGTERM (or a ``drain`` frame)
-  stops admission (``rejected(draining)``), flushes every pending queue
-  (flush cause ``drain``), finishes in-flight batches, then exits 0.  A
-  SIGKILL tears the process down mid-flight; recovery is the *client's*
-  deadline-aware retry against a restarted server (exercised in
-  ``tests/serving/test_soak.py``).
+  refuses new work, flushes every queue (flush cause ``drain``),
+  finishes in-flight batches, then exits 0.  A SIGKILL tears the process
+  down mid-flight; recovery is the *client's* deadline-aware retry
+  against a restarted server (exercised in ``tests/serving/test_soak.py``).
 * **Worker faults.**  An injected :class:`WorkerBatchKill` kills a
-  worker thread as it takes (or finishes computing) a batch; the
-  interrupted requests are re-queued at the front (bounded by
-  ``max_retries``) or failed terminally — mirroring the virtual-clock
-  daemon's semantics on the wall clock.
+  worker thread as it takes (or finishes computing) a batch; the core
+  retries or fails the interrupted requests.
 
 Run it as a process::
 
@@ -68,7 +50,6 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.kernels.layer_spec import ConvLayerSpec, GemmLayerSpec
 from repro.nn.models import ModelDefinition
-from repro.serving.daemon import COMPLETED, FAILED, REJECTED
 from repro.serving.health import HealthMonitor
 from repro.serving.netfaults import ServerFaultPlan, WorkerBatchKill
 from repro.serving.pool import SessionPool
@@ -90,12 +71,7 @@ from repro.serving.protocol import (
     parse_request,
     recv_frames,
 )
-from repro.serving.queue import (
-    FLUSH_DEADLINE,
-    FLUSH_DRAIN,
-    FLUSH_FULL,
-    BatchQueue,
-)
+from repro.serving.scheduler import COMPLETED, REJECTED, Scheduler, ShedPolicy
 from repro.serving.stats import LatencyRecorder
 from repro.version import __version__
 
@@ -109,49 +85,12 @@ def _now_us() -> float:
     return time.monotonic() * 1e6
 
 
-@dataclass(frozen=True)
-class ShedPolicy:
-    """The degradation ladder, driven by per-model queue depth.
-
-    Attributes:
-        soft_fraction: queue utilization at which level 1 engages.
-        cap_divisor: the batch cap shrink factor at level >= 1.
-    """
-
-    soft_fraction: float = 0.5
-    cap_divisor: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.soft_fraction <= 1.0:
-            raise ConfigError(
-                f"soft_fraction must be in (0, 1], got {self.soft_fraction}"
-            )
-        if self.cap_divisor < 1:
-            raise ConfigError(
-                f"cap_divisor must be >= 1, got {self.cap_divisor}"
-            )
-
-    def level(self, depth: int, queue_depth: int) -> int:
-        """0 = normal, 1 = shrink the batch cap, 2 = reject new work."""
-        if depth >= queue_depth:
-            return 2
-        if depth >= self.soft_fraction * queue_depth:
-            return 1
-        return 0
-
-    def effective_cap(self, batch_cap: int, level: int) -> int:
-        """The flush cap at a shed level (never below one)."""
-        if level >= 1:
-            return max(1, batch_cap // self.cap_divisor)
-        return batch_cap
-
-
 @dataclass(slots=True)
 class PendingRequest:
-    """One accepted wire request waiting in (or taken from) a queue.
+    """One wire request, as the scheduling core sees it.
 
-    Duck-types the ``arrival_us`` attribute :class:`BatchQueue` orders
-    by, so the wall-clock server reuses the daemon's queue unchanged.
+    Carries the ``request_id``, ``model``, ``arrival_us`` and
+    ``deadline_us`` the core reads, plus the connection to answer on.
     """
 
     request_id: str
@@ -160,7 +99,6 @@ class PendingRequest:
     arrival_us: float
     deadline_us: "float | None"
     conn: "_Connection"
-    attempts: int = 0
 
 
 class _Connection:
@@ -237,10 +175,6 @@ class ServingServer:
         shed: "ShedPolicy | None" = None,
         faults: "ServerFaultPlan | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
         self.pool = pool
         self.requested_address = address
         self.models = tuple(models) if models is not None else pool.known_models()
@@ -248,28 +182,27 @@ class ServingServer:
         self.deadline_ms = float(deadline_ms)
         self.queue_depth = int(queue_depth)
         self.worker_count = int(workers)
-        self.max_retries = int(max_retries)
-        self.shed = shed or ShedPolicy()
         self.faults = faults or ServerFaultPlan()
         self.monitor = HealthMonitor()
-        # Validate the queue geometry once, eagerly (same trick as the
-        # virtual-clock daemon).
-        BatchQueue(
-            "__validate__", self.batch_cap, self.deadline_ms * 1000.0,
-            self.queue_depth,
+        # Every core call runs under ``_cond``.
+        self.core = Scheduler(
+            self.batch_cap, self.deadline_ms * 1000.0, self.queue_depth,
+            self.worker_count, int(max_retries),
+            known=self.models.__contains__, shed=shed,
+            tally=self.monitor.increment,
         )
+        for kill in self.faults.worker_kills:
+            if kill.worker >= self.worker_count:
+                raise ConfigError(
+                    f"fault plan kills worker {kill.worker} but only "
+                    f"{self.worker_count} exist"
+                )
 
         self._cond = threading.Condition()
-        self._queues: "dict[str, BatchQueue]" = {}
-        self._seen: set[str] = set()
-        self._terminals: "dict[str, str]" = {}
         self._latency = LatencyRecorder()
-        self._inflight = 0
-        self._live_workers = self.worker_count
         self._worker_batches = [0] * self.worker_count
         self._global_batches = 0
         self._service_ms_ema: "float | None" = None
-        self._draining = False
         self._stopping = False
 
         self._listener: "socket.socket | None" = None
@@ -322,9 +255,9 @@ class ServingServer:
         Idempotent; callable from a signal handler or a ``drain`` frame.
         """
         with self._cond:
-            if self._draining:
+            if self.core.draining:
                 return
-            self._draining = True
+            self.core.draining = True
             self._cond.notify_all()
         self.monitor.begin_drain()
 
@@ -351,6 +284,7 @@ class ServingServer:
         """Hard stop (test teardown): no terminal-response guarantees."""
         with self._cond:
             self._stopping = True
+            self.core.draining = True  # refuse whatever still arrives
             self._cond.notify_all()
         self._teardown()
 
@@ -451,48 +385,18 @@ class ServingServer:
             conn=conn,
         )
         with self._cond:
-            reason = self._admit_locked(preq, now)
+            reason = self.core.arrive(preq, now)
             if reason is None:
                 self.monitor.increment("accepted")
                 self._cond.notify_all()
                 return
             self.monitor.increment("refused")
-            frame = self._response(preq, REJECTED, reason=reason)
+            frame = self._response(preq, REJECTED, now, reason=reason)
             if reason in ("queue-full", "draining"):
                 frame["retry_after_ms"] = self._retry_after_ms_locked(model)
         # Sends never run under the server lock: a stalled peer costs
         # its own connection, not the batching loop.
         self._deliver([(preq, frame)])
-
-    def _admit_locked(self, preq: PendingRequest, now: float) -> "str | None":
-        """Admission control: None accepts; a string is the refusal."""
-        if self._stopping or self._draining:
-            return "draining"
-        if self._live_workers == 0:
-            return "no-workers"
-        if preq.request_id in self._seen:
-            return "duplicate"
-        if preq.model not in self.models:
-            return "unknown-model"
-        if preq.deadline_us is not None and now >= preq.deadline_us:
-            return "deadline"
-        queue = self._queue_for(preq.model)
-        if self.shed.level(len(queue), self.queue_depth) >= 2 or (
-            not queue.offer(preq)
-        ):
-            return "queue-full"
-        self._seen.add(preq.request_id)
-        return None
-
-    def _queue_for(self, model: str) -> BatchQueue:
-        queue = self._queues.get(model)
-        if queue is None:
-            queue = BatchQueue(
-                model, self.batch_cap, self.deadline_ms * 1000.0,
-                self.queue_depth,
-            )
-            self._queues[model] = queue
-        return queue
 
     def _deliver(self, outbox) -> None:
         """Send terminal/refusal frames, outside every server lock."""
@@ -501,8 +405,8 @@ class ServingServer:
                 self.monitor.increment("undeliverable")
 
     def _retry_after_ms_locked(self, model: str) -> float:
-        queue = self._queues.get(model)
-        depth = (len(queue) if queue is not None else 0) + self._inflight
+        queue = self.core.queues.get(model)
+        depth = (len(queue) if queue is not None else 0) + self.core.inflight
         estimate = self._service_ms_ema or DEFAULT_SERVICE_ESTIMATE_MS
         return round(max(1.0, depth * estimate), 3)
 
@@ -516,7 +420,7 @@ class ServingServer:
                 return
             batch, model, cause, kill = task
             if kill is not None and kill.at == "before-run":
-                self._worker_died(worker_id, model, batch)
+                self._settle(self.core.died, model, batch)
                 return
             started = time.perf_counter()
             try:
@@ -524,13 +428,14 @@ class ServingServer:
                     [preq.image for preq in batch]
                 )
             except Exception as error:  # a session bug, not a protocol issue
-                self._batch_failed(
-                    batch, f"execute-error:{type(error).__name__}"
+                self._settle(
+                    self.core.fail, batch,
+                    f"execute-error:{type(error).__name__}",
                 )
                 continue
             elapsed_s = time.perf_counter() - started
             if kill is not None:  # after-run: died before delivering
-                self._worker_died(worker_id, model, batch)
+                self._settle(self.core.died, model, batch)
                 return
             self._batch_completed(worker_id, batch, cause, run, elapsed_s)
 
@@ -538,175 +443,70 @@ class ServingServer:
         """Block until a batch is due; None means this worker exits."""
         while True:
             with self._cond:
-                state, task, outbox = self._poll_batch_locked(worker_id)
+                if self._stopping:
+                    return None
+                now = _now_us()
+                due = self.core.due(now)
+                if due is None:
+                    if self.core.drained():
+                        return None
+                    wake = self.core.wake_at()
+                    self._cond.wait(
+                        None if wake is None else max(0.0, (wake - now) / 1e6)
+                    )
+                    continue
+                model, cause, limit = due
+                batch, expired = self.core.take(model, limit, now)
+                outbox = self._answer_locked(expired, now)
+                if batch:
+                    self._worker_batches[worker_id] += 1
+                    self._global_batches += 1
+                    kill = self.faults.kill_for(
+                        worker_id,
+                        self._worker_batches[worker_id],
+                        global_seq=self._global_batches,
+                    )
+                    self.monitor.increment("batches")
+            # Requests that expired while queued are answered outside
+            # the lock; a flush that expired whole means poll again.
             self._deliver(outbox)
-            if state == "exit":
-                return None
-            if state == "batch":
-                return task
-            # state == "retry": re-poll (either a wait timed out or the
-            # whole flush had expired and was rejected)
+            if batch:
+                return batch, model, cause, kill
 
-    def _poll_batch_locked(self, worker_id: int):
-        """One poll step: ``(state, task, outbox)``.
-
-        ``state`` is ``"batch"`` (task is the dispatch), ``"exit"`` (the
-        worker should stop) or ``"retry"``; ``outbox`` carries terminal
-        frames for requests whose deadline expired while queued, to be
-        delivered after the lock is released.
-        """
-        if self._stopping:
-            return "exit", None, ()
-        now = _now_us()
-        due = self._next_due_locked(now)
-        if due is not None:
-            queue, cause, limit = due
-            raw = queue.take_batch(limit)
-            outbox = []
-            batch = []
-            for preq in raw:
-                if preq.deadline_us is not None and now >= preq.deadline_us:
-                    frame = self._terminal_locked(
-                        preq, REJECTED, reason="deadline"
-                    )
-                    if frame is not None:
-                        outbox.append((preq, frame))
-                else:
-                    preq.attempts += 1
-                    batch.append(preq)
-            if not batch:
-                return "retry", None, outbox
-            self._inflight += len(batch)
-            self._worker_batches[worker_id] += 1
-            self._global_batches += 1
-            kill = self.faults.kill_for(
-                worker_id,
-                self._worker_batches[worker_id],
-                global_seq=self._global_batches,
-            )
-            self.monitor.increment("batches")
-            return "batch", (batch, queue.model, cause, kill), outbox
-        if self._draining and self._total_pending_locked() == 0:
-            return "exit", None, ()
-        self._cond.wait(self._wake_timeout_locked(now))
-        return "retry", None, ()
-
-    def _next_due_locked(self, now_us: float):
-        """The first queue with a due batch: ``(queue, cause, limit)``."""
-        for queue in self._queues.values():
-            depth = len(queue)
-            if depth == 0:
-                continue
-            level = self.shed.level(depth, self.queue_depth)
-            limit = self.shed.effective_cap(self.batch_cap, level)
-            if self._draining:
-                return queue, FLUSH_DRAIN, limit
-            if depth >= limit:
-                return queue, FLUSH_FULL, limit
-            deadline = queue.head_deadline_us()
-            if deadline is not None and now_us >= deadline:
-                return queue, FLUSH_DEADLINE, limit
-        return None
-
-    def _total_pending_locked(self) -> int:
-        return self._inflight + sum(len(q) for q in self._queues.values())
-
-    def _wake_timeout_locked(self, now_us: float) -> "float | None":
-        deadlines = [
-            queue.head_deadline_us()
-            for queue in self._queues.values()
-            if len(queue)
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, (min(deadlines) - now_us) / 1e6)
-
-    def _worker_died(self, worker_id: int, model: str, batch) -> None:
-        """An injected kill: retry the interrupted batch on survivors."""
-        outbox = []
+    def _settle(self, event, *args) -> None:
+        """Run a failing core event under the lock, then send its answers."""
         with self._cond:
-            self._live_workers -= 1
-            self._inflight -= len(batch)
-            survivors = []
-            for preq in batch:
-                if preq.attempts > self.max_retries:
-                    frame = self._terminal_locked(
-                        preq, FAILED, reason="worker-died"
-                    )
-                    if frame is not None:
-                        outbox.append((preq, frame))
-                else:
-                    survivors.append(preq)
-                    self.monitor.increment("retries")
-            if survivors:
-                if self._live_workers > 0:
-                    self._queue_for(model).requeue_front(tuple(survivors))
-                else:
-                    for preq in survivors:
-                        frame = self._terminal_locked(
-                            preq, FAILED, reason="no-workers"
-                        )
-                        if frame is not None:
-                            outbox.append((preq, frame))
-            if self._live_workers == 0:
-                outbox.extend(self._fail_all_pending_locked("no-workers"))
-            self._cond.notify_all()
-        self._deliver(outbox)
-
-    def _fail_all_pending_locked(self, reason: str) -> list:
-        outbox = []
-        for queue in self._queues.values():
-            while len(queue):
-                for preq in queue.take_batch(len(queue)):
-                    frame = self._terminal_locked(preq, FAILED, reason=reason)
-                    if frame is not None:
-                        outbox.append((preq, frame))
-        return outbox
-
-    def _batch_failed(self, batch, reason: str) -> None:
-        outbox = []
-        with self._cond:
-            self._inflight -= len(batch)
-            for preq in batch:
-                frame = self._terminal_locked(preq, FAILED, reason=reason)
-                if frame is not None:
-                    outbox.append((preq, frame))
+            outbox = self._answer_locked(event(*args), _now_us())
             self._cond.notify_all()
         self._deliver(outbox)
 
     def _batch_completed(
         self, worker_id: int, batch, cause: str, run, elapsed_s: float
     ) -> None:
-        digests = [
-            functional_run_digest(per_image) for per_image in run.per_image
-        ]
-        outbox = []
+        digests = {
+            preq.request_id: functional_run_digest(per_image)
+            for preq, per_image in zip(batch, run.per_image)
+        }
         with self._cond:
-            self._inflight -= len(batch)
             per_request_ms = elapsed_s * 1000.0 / len(batch)
             self._service_ms_ema = (
                 per_request_ms
                 if self._service_ms_ema is None
                 else 0.5 * self._service_ms_ema + 0.5 * per_request_ms
             )
-            for index, preq in enumerate(batch):
-                frame = self._terminal_locked(
-                    preq,
-                    COMPLETED,
-                    digest=digests[index],
-                    worker=worker_id,
-                    batch_size=len(batch),
-                    flush_cause=cause,
-                )
-                if frame is not None:
-                    outbox.append((preq, frame))
+            outbox = self._answer_locked(
+                self.core.complete(batch), _now_us(), digests,
+                worker=worker_id, batch_size=len(batch), flush_cause=cause,
+            )
             self._cond.notify_all()
         self._deliver(outbox)
 
     # ------------------------------------------------------------------ #
     # Terminal responses
     # ------------------------------------------------------------------ #
-    def _response(self, preq: PendingRequest, status: str, **fields) -> dict:
+    def _response(
+        self, preq: PendingRequest, status: str, now_us: float, **fields
+    ) -> dict:
         frame = {
             "type": RESPONSE,
             "id": preq.request_id,
@@ -714,34 +514,28 @@ class ServingServer:
             "image": preq.image,
             "status": status,
             "reason": "",
-            "latency_ms": round((_now_us() - preq.arrival_us) / 1000.0, 3),
-            "attempts": preq.attempts,
+            "latency_ms": round((now_us - preq.arrival_us) / 1000.0, 3),
+            "attempts": 0,
         }
         frame.update(fields)
         return frame
 
-    def _terminal_locked(
-        self, preq: PendingRequest, status: str, **fields
-    ) -> "dict | None":
-        """Ledger one terminal answer for an *accepted* request.
-
-        Returns the response frame to deliver (after the caller drops
-        the lock), or ``None`` for a double-terminal — an invariant
-        breach that is counted loudly and never sent.
-        """
-        if preq.request_id in self._terminals:
-            self.monitor.increment("violations")
-            return None
-        self._terminals[preq.request_id] = status
-        latency_us = _now_us() - preq.arrival_us
-        if status == COMPLETED:
-            self.monitor.increment("completed")
-            self._latency.record(max(0.0, latency_us))
-        elif status == FAILED:
-            self.monitor.increment("failed")
-        else:
-            self.monitor.increment("rejected_deadline")
-        return self._response(preq, status, **fields)
+    def _answer_locked(
+        self, terminals, now_us: float, digests=None, **fields
+    ) -> list:
+        """Frames for the core's ledgered terminals, sent after unlocking."""
+        outbox = []
+        for preq, status, reason in terminals:
+            if status == COMPLETED:
+                self._latency.record(max(0.0, now_us - preq.arrival_us))
+            frame = self._response(
+                preq, status, now_us, reason=reason,
+                attempts=self.core.attempts[preq.request_id], **fields,
+            )
+            if digests is not None:
+                frame["digest"] = digests[preq.request_id]
+            outbox.append((preq, frame))
+        return outbox
 
     # ------------------------------------------------------------------ #
     # Health
@@ -751,17 +545,11 @@ class ServingServer:
             extras = {
                 "models": list(self.models),
                 "queue_depth_limit": self.queue_depth,
-                "pending": sum(len(q) for q in self._queues.values()),
-                "inflight": self._inflight,
-                "live_workers": self._live_workers,
-                "shed_level": max(
-                    (
-                        self.shed.level(len(q), self.queue_depth)
-                        for q in self._queues.values()
-                    ),
-                    default=0,
-                ),
-                "terminals": len(self._terminals),
+                "pending": self.core.pending(),
+                "inflight": self.core.inflight,
+                "live_workers": self.core.live_workers,
+                "shed_level": self.core.shed_level(),
+                "terminals": len(self.core.terminals),
             }
             latency = self._latency.summary()
         extras["latency_ms"] = {
@@ -769,12 +557,6 @@ class ServingServer:
             for key, value in latency.items()
         }
         return self.monitor.snapshot(**extras)
-
-    @property
-    def terminals(self) -> "dict[str, str]":
-        """Terminal status per accepted request id (test/soak hook)."""
-        with self._cond:
-            return dict(self._terminals)
 
 
 # --------------------------------------------------------------------- #
@@ -892,17 +674,21 @@ def main(argv=None) -> int:
         scale=args.scale, seed=args.seed, definitions=definitions
     )
     models = tuple(args.models) if args.models else tuple(definitions)
-    server = ServingServer(
-        pool,
-        address=args.unix if args.unix else ("127.0.0.1", args.port),
-        models=models,
-        batch_cap=args.batch_cap,
-        deadline_ms=args.deadline_ms,
-        queue_depth=args.queue_depth,
-        workers=args.workers,
-        max_retries=args.max_retries,
-        faults=ServerFaultPlan(worker_kills=tuple(args.kill_worker)),
-    )
+    try:
+        server = ServingServer(
+            pool,
+            address=args.unix if args.unix else ("127.0.0.1", args.port),
+            models=models,
+            batch_cap=args.batch_cap,
+            deadline_ms=args.deadline_ms,
+            queue_depth=args.queue_depth,
+            workers=args.workers,
+            max_retries=args.max_retries,
+            faults=ServerFaultPlan(worker_kills=tuple(args.kill_worker)),
+        )
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     signal.signal(signal.SIGTERM, lambda signum, frame: server.drain())
     signal.signal(signal.SIGINT, lambda signum, frame: server.drain())
     server.start()

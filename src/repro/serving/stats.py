@@ -35,8 +35,12 @@ def exact_percentile(values: Sequence[float], pct: float) -> float:
     data = sorted(values)
     if not data:
         raise ConfigError("percentile of an empty sample is undefined")
-    rank = math.ceil(pct / 100.0 * len(data))
-    return data[rank - 1]
+    return _nearest_rank(data, pct)
+
+
+def _nearest_rank(data: Sequence[float], pct: float) -> float:
+    """The nearest-rank percentile of already sorted, non-empty ``data``."""
+    return data[math.ceil(pct / 100.0 * len(data)) - 1]
 
 
 class LatencyRecorder:
@@ -93,11 +97,12 @@ class LatencyRecorder:
                 "mean_latency_us": 0.0,
                 "max_latency_us": 0.0,
             }
+        data = sorted(self._samples)  # once, for every order statistic
         return {
             "latency_count": self.count,
-            "p50_latency_us": round(self.percentile(50.0), digits),
-            "p95_latency_us": round(self.percentile(95.0), digits),
-            "p99_latency_us": round(self.percentile(99.0), digits),
+            "p50_latency_us": round(_nearest_rank(data, 50.0), digits),
+            "p95_latency_us": round(_nearest_rank(data, 95.0), digits),
+            "p99_latency_us": round(_nearest_rank(data, 99.0), digits),
             "mean_latency_us": round(self.mean(), digits),
-            "max_latency_us": round(max(self._samples), digits),
+            "max_latency_us": round(data[-1], digits),
         }

@@ -12,6 +12,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.experiments.registry import EXPERIMENTS
@@ -103,6 +105,18 @@ class TestLatencyRecorder:
         assert recorder.samples == (5.0, 1.0, 3.0)
         assert recorder.count == 3
         assert recorder.percentile(50.0) == 3.0
+
+    @given(st.lists(
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        min_size=1, max_size=200,
+    ))
+    def test_summary_agrees_with_exact_percentile(self, samples):
+        summary = LatencyRecorder(samples).summary()
+        for pct in REPORTED_PERCENTILES:
+            assert summary[f"p{int(pct)}_latency_us"] == round(
+                exact_percentile(samples, pct), 3
+            )
+        assert summary["max_latency_us"] == round(max(samples), 3)
 
     def test_reported_percentiles_are_the_daemon_row_columns(self):
         summary = LatencyRecorder([1.0]).summary()

@@ -80,6 +80,25 @@ class TestServerValidation:
         with pytest.raises(ConfigError):
             ServingServer(pool, max_retries=-1)
 
+    def test_kill_plan_naming_a_missing_worker_rejected(self, pool):
+        with pytest.raises(ConfigError, match="kills worker 2"):
+            ServingServer(pool, workers=2, faults=ServerFaultPlan(
+                worker_kills=(WorkerBatchKill(2, 1),)
+            ))
+        ServingServer(pool, workers=2, faults=ServerFaultPlan(
+            worker_kills=(WorkerBatchKill(ANY_WORKER, 1),)
+        ))
+
+    def test_cli_exits_2_on_a_bad_kill_plan(self, tmp_path, capsys):
+        from repro.serving.server import main
+
+        code = main([
+            "--unix", str(tmp_path / "s.sock"), "--demo-zoo",
+            "--workers", "1", "--kill-worker", "1:1",
+        ])
+        assert code == 2
+        assert "kills worker 1" in capsys.readouterr().err
+
 
 # --------------------------------------------------------------------- #
 # Admission control, no workers running
@@ -162,7 +181,7 @@ class TestAdmission:
             arrival_us=0.0, deadline_us=1.0, conn=conn,
         )
         with server._cond:
-            reason = server._admit_locked(preq, now=2.0)
+            reason = server.core.arrive(preq, now_us=2.0)
         assert reason == "deadline"
 
     def test_shed_ladder_shrinks_flush_cap(self, pool):
@@ -174,9 +193,9 @@ class TestAdmission:
         for n in range(4):  # depth 4 >= 0.5 * 8 -> level 1, cap 4 -> 2
             _admit(server, conn, f"r{n}")
         with server._cond:
-            due = server._next_due_locked(now_us=0.0)
+            due = server.core.due(now_us=0.0)
         assert due is not None
-        queue, cause, limit = due
+        model, cause, limit = due
         assert cause == "full"  # depth 4 >= shrunken cap 2
         assert limit == 2
 
